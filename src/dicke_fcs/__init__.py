@@ -27,7 +27,7 @@ from .statistics import (CumulantSet, Occupations, RelaxationTimes,
                          fano_factors, mode_cgf_rate, occupations,
                          occupations_from_state, relaxation_times,
                          system_frame)
-from .oracle import (OracleKind, TruncatedLiouvillian,
+from .oracle import (TruncatedLiouvillian,
                      build_dicke_liouvillian, build_rwa_liouvillian,
                      cumulant_rates_fd, dominant_eigenvalue,
                      finite_difference_weights, steady_state_vector,
@@ -48,7 +48,7 @@ __all__ = [
     "system_frame", "cgf_rate", "mode_cgf_rate", "cgf_finite_time",
     "cumulants", "fano_factors", "occupations", "occupations_from_state",
     "relaxation_times",
-    "OracleKind", "TruncatedLiouvillian", "build_rwa_liouvillian",
+    "TruncatedLiouvillian", "build_rwa_liouvillian",
     "build_dicke_liouvillian", "steady_state_vector", "dominant_eigenvalue",
     "finite_difference_weights", "cumulant_rates_fd", "trace_vector",
     "DickeFcsError", "InvalidParams", "InconsistentMeanField",

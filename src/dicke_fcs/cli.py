@@ -250,17 +250,15 @@ def _scan_point(cfg: RunConfig, lam: float, n_values: int) -> list:
             values = [occ.photon_fluct, occ.atom_fluct,
                       occ.photon_macro / n_atoms, occ.atom_macro / n_atoms,
                       occ.photon_macro, occ.atom_macro]
-        elif cfg.quantity == "cumulants":
-            cs = stats.cumulants(params, order=max(1, cfg.jet_order - 1),
-                                 sign_branch=cfg.sign_branch)
-            values = [cs.fluctuation[k] for k in cs.orders]
-            values += [cs.macroscopic[k] / n_atoms for k in cs.orders]
-            values += [cs.macroscopic[k] for k in cs.orders]
         else:
             cs = stats.cumulants(params, order=max(1, cfg.jet_order - 1),
                                  sign_branch=cfg.sign_branch)
-            fano = stats.fano_factors(cs)
-            values = [fano[k] for k in cs.orders]
+            if cfg.quantity == "fano":
+                values = list(stats.fano_factors(cs).values())
+            else:
+                values = [cs.fluctuation[k] for k in cs.orders]
+                values += [cs.macroscopic[k] / n_atoms for k in cs.orders]
+                values += [cs.macroscopic[k] for k in cs.orders]
     except DickeFcsError as exc:
         return [lam, None, None] + [None] * n_values + [type(exc).__name__]
     return cells + values + [""]
@@ -297,21 +295,18 @@ def cmd_evolve(cfg: RunConfig) -> str:
         t_max = 20.0 * max(times.tau1, times.tau2)
     if not math.isfinite(t_max) or t_max <= 0:
         raise UsageError(f"t_max must be positive and finite, got {t_max}")
-    alpha_ext = abs(sf.mean_field.sqrt_alpha_intensive) ** 2 * 2.0 * cfg.j
-    coeffs = ode_coefficients(sf.frame, cfg.gamma, alpha_abs=alpha_ext,
-                              order=cfg.jet_order)
-    ic = GaussianIC(epsilon_width=cfg.ic_width)
-    grid = np.linspace(0.0, t_max, cfg.samples)
-    trajectory = evolve(ic, coeffs, t_max, sf.frame, t_eval=grid)
+    parts = stats._finite_time_parts(
+        params, sf, GaussianIC(epsilon_width=cfg.ic_width),
+        np.linspace(0.0, t_max, cfg.samples), cfg.jet_order)
 
     orders = range(1, cfg.jet_order + 1)
     columns = (["t", "photon_occupation", "atom_occupation"]
                + [f"cumulant_{k}" for k in orders])
     lines = _config_header(cfg)
     lines.append(",".join(columns))
-    for state in trajectory:
+    for state, macro, fluct in parts:
         occ1, occ2 = stats.occupations_from_state(sf.frame, state)
-        f_jet = (-state.time) * coeffs.drive_rate + log_gaussian_mass(state)
+        f_jet = macro + fluct
         cums = [f_jet.derivative(k).real for k in orders]
         lines.append(",".join(_fmt(c)
                               for c in [state.time, occ1, occ2] + cums))

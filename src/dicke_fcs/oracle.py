@@ -18,9 +18,10 @@ high-order central differences and Richardson extrapolation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from enum import Enum
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,12 +30,12 @@ from scipy.sparse.linalg import eigs, spsolve
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .bogoliubov import BogoliubovFrame
-from .errors import (CutoffTooSmall, EigenvalueCrossing, InvalidParams,
-                     NonConvergence)
+from .errors import (CutoffTooSmall, DickeFcsError, EigenvalueCrossing,
+                     InvalidParams, NonConvergence)
 from .model import ModelParams
+from .statistics import occupations
 
 __all__ = [
-    "OracleKind",
     "TruncatedLiouvillian",
     "build_rwa_liouvillian",
     "build_dicke_liouvillian",
@@ -45,29 +46,33 @@ __all__ = [
     "trace_vector",
 ]
 
-
-class OracleKind(Enum):
-    RWA_SINGLE_MODE = "rwa-single-mode"
-    FINITE_J_DICKE = "finite-j-dicke"
+_HOMOTOPY_STEP = 0.1
+_OVERLAP_MIN = 0.5
 
 
 @dataclass(frozen=True)
 class TruncatedLiouvillian:
     """A tilted Lindblad generator on a truncated Hilbert space.
 
-    ``matrix`` acts on row-major vectorized density matrices of size
-    ``side`` x ``side`` (so ``dimension == side**2``).  ``rebuild`` returns
-    the same generator at a different counting angle, which the eigenvalue
-    homotopy needs.
+    The generator at counting angle chi is ``at(chi) = no_jump + e^{i chi}
+    jump``: ``jump`` is the counted quantum-jump term of the photon loss,
+    ``no_jump`` everything else.  Both act on row-major vectorized density
+    matrices of size ``side`` x ``side``; ``matrix`` is the generator at
+    the stored angle ``chi``.
     """
 
-    matrix: sp.spmatrix
+    no_jump: sp.csc_matrix
+    jump: sp.csc_matrix
     side: int
-    dimension: int
     chi: float
     cutoffs: tuple
-    kind: OracleKind
-    rebuild: Callable
+
+    def at(self, chi: float) -> sp.csc_matrix:
+        return (self.no_jump + np.exp(1j * chi) * self.jump).tocsc()
+
+    @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        return self.at(self.chi)
 
 
 def _destroy(side: int) -> sp.csr_matrix:
@@ -82,13 +87,12 @@ def _post(x: sp.spmatrix, side: int) -> sp.csr_matrix:
     return sp.kron(sp.identity(side, format="csr"), x.T, format="csr")
 
 
-def _counting_dissipator(jump: sp.spmatrix, weight: float, chi: float,
-                         side: int) -> sp.csr_matrix:
-    """weight * (e^{i chi} J rho J^dag - {J^dag J, rho}/2), vectorized."""
+def _dissipator_parts(jump: sp.spmatrix, weight: float, side: int) -> tuple:
+    """weight * (-{J^dag J, rho}/2) and weight * J rho J^dag, vectorized:
+    the no-jump and the counted jump part of one loss channel."""
     jj = (jump.conj().T @ jump).tocsr()
-    gain = sp.kron(jump, jump.conj(), format="csr")
-    return weight * (np.exp(1j * chi) * gain
-                     - 0.5 * (_pre(jj, side) + _post(jj, side)))
+    return (-0.5 * weight * (_pre(jj, side) + _post(jj, side)),
+            weight * sp.kron(jump, jump.conj(), format="csr"))
 
 
 def trace_vector(side: int) -> np.ndarray:
@@ -128,14 +132,13 @@ def build_rwa_liouvillian(frame: BogoliubovFrame, mode: int,
             f"got {cutoff}")
     side = cutoff + 1
     a = _destroy(side)
-    lmat = (_counting_dissipator(a, gamma_loss * cool, chi, side)
-            + _counting_dissipator(a.conj().T.tocsr(), gamma_loss * heat,
-                                   chi, side))
+    cool_parts = _dissipator_parts(a, gamma_loss * cool, side)
+    heat_parts = _dissipator_parts(a.conj().T.tocsr(), gamma_loss * heat,
+                                   side)
     return TruncatedLiouvillian(
-        matrix=lmat.tocsc(), side=side, dimension=side * side, chi=chi,
-        cutoffs=(cutoff,), kind=OracleKind.RWA_SINGLE_MODE,
-        rebuild=lambda c: build_rwa_liouvillian(frame, mode, gamma_loss,
-                                                c, cutoff))
+        no_jump=(cool_parts[0] + heat_parts[0]).tocsc(),
+        jump=(cool_parts[1] + heat_parts[1]).tocsc(),
+        side=side, chi=chi, cutoffs=(cutoff,))
 
 
 def _spin_operators(j: float):
@@ -179,18 +182,14 @@ def build_dicke_liouvillian(params: ModelParams, photon_cutoff: int,
          + params.omega * sp.kron(ident_sp, a.conj().T @ a)
          + (params.lam / math.sqrt(two_j)) * sp.kron(jx2, x_ph)).tocsr()
     a_full = sp.kron(ident_sp, a, format="csr")
-    lmat = (-1j * (_pre(h, side) - _post(h, side))
-            + _counting_dissipator(a_full, params.gamma_loss, chi, side))
+    no_jump, jump = _dissipator_parts(a_full, params.gamma_loss, side)
     return TruncatedLiouvillian(
-        matrix=lmat.tocsc(), side=side, dimension=side * side, chi=chi,
-        cutoffs=(int(round(two_j)), photon_cutoff),
-        kind=OracleKind.FINITE_J_DICKE,
-        rebuild=lambda c: build_dicke_liouvillian(params, photon_cutoff, c))
+        no_jump=(no_jump - 1j * (_pre(h, side) - _post(h, side))).tocsc(),
+        jump=jump.tocsc(), side=side, chi=chi,
+        cutoffs=(int(round(two_j)), photon_cutoff))
 
 
 def _check_cutoff_estimate(params: ModelParams, photon_cutoff: int):
-    from .errors import DickeFcsError
-    from .statistics import occupations
     try:
         occ = occupations(params)
     except DickeFcsError:
@@ -211,7 +210,7 @@ def steady_state_vector(lv: TruncatedLiouvillian) -> np.ndarray:
     """
     if lv.chi != 0:
         raise InvalidParams("steady state is defined only at chi = 0")
-    n = lv.dimension
+    n = lv.side ** 2
     m = lv.matrix.tolil(copy=True)
     m.rows[0] = list(range(0, n, lv.side + 1))
     m.data[0] = [1.0] * lv.side
@@ -225,33 +224,30 @@ def steady_state_vector(lv: TruncatedLiouvillian) -> np.ndarray:
     return v
 
 
-def dominant_eigenvalue(lv: TruncatedLiouvillian, homotopy_step: float = 0.1,
-                        overlap_min: float = 0.5) -> complex:
-    """Eigenvalue of the tilted generator continuously connected to the
-    steady-state zero mode at chi = 0.
-
-    The counting angle is walked from 0 to ``lv.chi`` in steps of at most
-    ``homotopy_step``, each step solved by shifted inverse iteration seeded
-    with the previous eigenpair.  A drop of the successive eigenvector
-    overlap below ``overlap_min`` aborts with EigenvalueCrossing rather
-    than silently jumping branches.
-    """
-    base = lv if lv.chi == 0 else lv.rebuild(0.0)
+def _zero_mode(lv: TruncatedLiouvillian) -> tuple:
+    """Normalized steady state of ``lv`` at chi = 0 and its eigenvalue."""
+    base = lv if lv.chi == 0 else dataclasses.replace(lv, chi=0.0)
     vec = steady_state_vector(base)
     vec = vec / np.linalg.norm(vec)
-    eig = complex(vec.conj() @ (base.matrix @ vec))
-    if lv.chi == 0:
+    return vec, complex(vec.conj() @ (base.matrix @ vec))
+
+
+def _follow_branch(lv: TruncatedLiouvillian, chi: float, vec: np.ndarray,
+                   eig: complex, homotopy_step: float,
+                   overlap_min: float) -> complex:
+    """Walk the eigenpair (vec, eig) of ``lv.at(0)`` to ``lv.at(chi)``."""
+    if chi == 0:
         return eig
-    n_steps = max(1, math.ceil(abs(lv.chi) / homotopy_step))
-    for chi_k in np.linspace(0.0, lv.chi, n_steps + 1)[1:]:
-        step_lv = lv if chi_k == lv.chi else lv.rebuild(float(chi_k))
+    n_steps = max(1, math.ceil(abs(chi) / homotopy_step))
+    for chi_k in np.linspace(0.0, chi, n_steps + 1)[1:]:
+        step_matrix = lv.at(float(chi_k))
         try:
             try:
-                vals, vecs = eigs(step_lv.matrix, k=1, sigma=eig, v0=vec)
+                vals, vecs = eigs(step_matrix, k=1, sigma=eig, v0=vec)
             except RuntimeError:
                 # shift sits exactly on an eigenvalue; nudge it off
                 sigma = eig + 1e-6 * (1.0 + abs(eig))
-                vals, vecs = eigs(step_lv.matrix, k=1, sigma=sigma, v0=vec)
+                vals, vecs = eigs(step_matrix, k=1, sigma=sigma, v0=vec)
         except ArpackNoConvergence as exc:
             raise NonConvergence(
                 f"eigensolver stalled at chi = {chi_k:g}") from exc
@@ -265,6 +261,22 @@ def dominant_eigenvalue(lv: TruncatedLiouvillian, homotopy_step: float = 0.1,
         eig = complex(vals[0])
         vec = new_vec
     return eig
+
+
+def dominant_eigenvalue(lv: TruncatedLiouvillian,
+                        homotopy_step: float = _HOMOTOPY_STEP,
+                        overlap_min: float = _OVERLAP_MIN) -> complex:
+    """Eigenvalue of the tilted generator continuously connected to the
+    steady-state zero mode at chi = 0.
+
+    The counting angle is walked from 0 to ``lv.chi`` in steps of at most
+    ``homotopy_step`` along ``lv.at(chi)``, each step solved by shifted
+    inverse iteration seeded with the previous eigenpair.  A drop of the
+    successive eigenvector overlap below ``overlap_min`` aborts with
+    EigenvalueCrossing rather than silently jumping branches.
+    """
+    return _follow_branch(lv, lv.chi, *_zero_mode(lv), homotopy_step,
+                          overlap_min)
 
 
 def finite_difference_weights(deriv_order: int, offsets) -> np.ndarray:
@@ -303,7 +315,9 @@ def cumulant_rates_fd(build: Callable, orders=(1, 2, 3), step: float = 1e-2,
                       richardson: bool = True) -> dict:
     """Cumulant rates from chi-derivatives of the dominant eigenvalue.
 
-    ``build(chi)`` must return a TruncatedLiouvillian.  Real-chi stencils
+    ``build(chi)`` must return a TruncatedLiouvillian; it is called once,
+    at chi = 0, and every stencil point walks the dominant eigenvalue of
+    that one generator from its single steady state.  Real-chi stencils
     (5-point for orders 1-2, 7-point above) are rotated by (-i)^k to convert
     d/d(chi) into d/d(i chi) derivatives; Richardson extrapolation combines
     steps h and h/2 for two extra orders of accuracy.  Eigenvalue
@@ -311,12 +325,15 @@ def cumulant_rates_fd(build: Callable, orders=(1, 2, 3), step: float = 1e-2,
     """
     if step <= 0:
         raise InvalidParams(f"step must be positive, got {step}")
-    cache: dict = {}
+    for k in orders:
+        if not 1 <= k <= 4:
+            raise InvalidParams(f"orders must lie in 1..4, got {k}")
+    lv = build(0.0)
+    zero_mode = _zero_mode(lv)
 
+    @cache
     def g(x: float) -> complex:
-        if x not in cache:
-            cache[x] = dominant_eigenvalue(build(x))
-        return cache[x]
+        return _follow_branch(lv, x, *zero_mode, _HOMOTOPY_STEP, _OVERLAP_MIN)
 
     def stencil(k: int, h: float) -> complex:
         half = 2 if k <= 2 else 3
@@ -327,8 +344,6 @@ def cumulant_rates_fd(build: Callable, orders=(1, 2, 3), step: float = 1e-2,
 
     out = {}
     for k in orders:
-        if not 1 <= k <= 4:
-            raise InvalidParams(f"orders must lie in 1..4, got {k}")
         d_h = stencil(k, step)
         if richardson:
             d_half = stencil(k, step / 2)

@@ -11,6 +11,13 @@ Counting series are jets in s = i*chi; cumulant k is k! times the k-th
 series coefficient.  Asymptotic cumulants are rates (per unit time),
 finite-time cumulants are totals accumulated up to t.
 
+The generating function is a macroscopic plus a fluctuation part, each
+formed once from its own formula, so the fluctuation part does not depend
+on ``j_atoms``.  Macroscopic: rate Gamma*|alpha|*(e^s - 1) with |alpha| the
+extensive photon number; at finite t -t*drive_rate.  Fluctuation: rate
+(Gamma/2)*(term1 + term2), one square-root term per diagonal mode; at
+finite t the Gaussian log-mass (or -a alone) minus its constant term.
+
 All operations here count emitted photons, so a strictly positive loss rate
 is required; the closed-system limit gamma_loss = 0 is rejected even where
 the bare formulas would stay finite, since without the bath there is no
@@ -117,10 +124,6 @@ def _alpha_extensive(params: ModelParams, mf: MeanField) -> float:
     return abs(mf.sqrt_alpha_intensive) ** 2 * 2.0 * params.j_atoms
 
 
-def _exp(x):
-    return x.exp() if isinstance(x, CountingJet) else cmath.exp(x)
-
-
 def _sqrt(x):
     return x.sqrt() if isinstance(x, CountingJet) else cmath.sqrt(x)
 
@@ -153,15 +156,16 @@ def _mode_term(cool: float, heat: float, one_minus_e2s):
     return -y / (x + _sqrt(x * x + y))
 
 
-def _rate_formula(frame: BogoliubovFrame, gamma_loss: float,
-                  alpha_ext: float, s):
-    """Asymptotic CGF rate as a function of s = i*chi (scalar or jet)."""
+def _rate_parts(params: ModelParams, sf: SystemFrame, s) -> tuple:
+    """Macroscopic and fluctuation parts of the asymptotic CGF rate as
+    functions of s = i*chi (scalars or jets)."""
     e_s_m1 = _expm1(s)
     one_minus_e2s = -(2.0 * e_s_m1 + e_s_m1 * e_s_m1)
-    term1 = _mode_term(frame.A ** 2, frame.B ** 2, one_minus_e2s)
-    term2 = _mode_term(frame.G ** 2, frame.D ** 2, one_minus_e2s)
-    fluct = 0.5 * gamma_loss * (term1 + term2)
-    return gamma_loss * alpha_ext * e_s_m1 + fluct
+    term1 = _mode_term(sf.frame.A ** 2, sf.frame.B ** 2, one_minus_e2s)
+    term2 = _mode_term(sf.frame.G ** 2, sf.frame.D ** 2, one_minus_e2s)
+    alpha_ext = _alpha_extensive(params, sf.mean_field)
+    return (params.gamma_loss * alpha_ext * e_s_m1,
+            0.5 * params.gamma_loss * (term1 + term2))
 
 
 def mode_cgf_rate(frame: BogoliubovFrame, gamma_loss: float, mode: int, chi):
@@ -194,13 +198,9 @@ def cgf_rate(params: ModelParams, chi, sign_branch: int = +1):
     k-th derivative is the k-th asymptotic cumulant rate).
     """
     _require_counting(params)
-    sf = system_frame(params, sign_branch)
-    alpha_ext = _alpha_extensive(params, sf.mean_field)
-    if isinstance(chi, CountingJet):
-        s = chi
-    else:
-        s = 1j * complex(chi)
-    return _rate_formula(sf.frame, params.gamma_loss, alpha_ext, s)
+    s = chi if isinstance(chi, CountingJet) else 1j * complex(chi)
+    macro, fluct = _rate_parts(params, system_frame(params, sign_branch), s)
+    return macro + fluct
 
 
 def _as_counting_variable(chi, name: str) -> CountingJet:
@@ -221,6 +221,22 @@ def _as_counting_variable(chi, name: str) -> CountingJet:
         f"{name} must be a CountingJet or an integer jet order")
 
 
+def _finite_time_parts(params: ModelParams, sf: SystemFrame,
+                       ic: GaussianIC | None, times, order: int,
+                       full_gaussian: bool = True):
+    """Yield (state, macroscopic, fluctuation) parts of F(s, t), as jets of
+    ``order``, at each of ``times`` along one trajectory from ``ic``."""
+    if ic is None:
+        ic = GaussianIC(epsilon_width=1.0)
+    alpha_ext = _alpha_extensive(params, sf.mean_field)
+    coeffs = ode_coefficients(sf.frame, params.gamma_loss,
+                              alpha_abs=alpha_ext, order=order)
+    for state in evolve(ic, coeffs, times[-1], sf.frame, t_eval=times):
+        fluct = log_gaussian_mass(state) if full_gaussian else -state.a
+        yield (state, -state.time * coeffs.drive_rate,
+               fluct - fluct.coefficients[0])
+
+
 def cgf_finite_time(params: ModelParams, chi, t: float,
                     ic: GaussianIC | None = None, full_gaussian: bool = True,
                     sign_branch: int = +1) -> CountingJet:
@@ -233,62 +249,40 @@ def cgf_finite_time(params: ModelParams, chi, t: float,
     The s-independent offset is subtracted so F(0, t) = 0 exactly.
     """
     _require_counting(params)
-    if t < 0:
-        raise InvalidParams(f"t must be nonnegative, got {t}")
     s = _as_counting_variable(chi, "chi")
-    if ic is None:
-        ic = GaussianIC(epsilon_width=1.0)
-    sf = system_frame(params, sign_branch)
-    alpha_ext = _alpha_extensive(params, sf.mean_field)
-    coeffs = ode_coefficients(sf.frame, params.gamma_loss,
-                              alpha_abs=alpha_ext, order=s.order)
-    state = evolve(ic, coeffs, t, sf.frame, t_eval=[t])[-1]
-    return _assemble_cgf(state, coeffs, t, full_gaussian)
-
-
-def _assemble_cgf(state: PState, coeffs, t: float,
-                  full_gaussian: bool) -> CountingJet:
-    if full_gaussian:
-        fluct = log_gaussian_mass(state)
-    else:
-        fluct = -state.a
-    total = -t * coeffs.drive_rate + fluct
-    return total - CountingJet.constant(total.coefficients[0], total.order)
+    _, macro, fluct = next(_finite_time_parts(
+        params, system_frame(params, sign_branch), ic, [t], s.order,
+        full_gaussian))
+    return macro + fluct
 
 
 def cumulants(params: ModelParams, t: float | None = None, order: int = 5,
               ic: GaussianIC | None = None, sign_branch: int = +1,
               full_gaussian: bool = True) -> CumulantSet:
     """Counting cumulants 1..order, split into macroscopic and fluctuation
-    parts.
+    parts, each the k-th s-derivative of its own formula.
 
-    With ``t`` omitted the asymptotic rates are returned; otherwise the
-    accumulated cumulants at time t starting from ``ic``.  Jets carry one
-    guard coefficient beyond the requested order.
+    With ``t`` omitted these are asymptotic rates, from Gamma*|alpha|*(e^s
+    - 1) (Gamma*|alpha| for every k) and from (Gamma/2)*(term1 + term2);
+    otherwise the cumulants accumulated up to t from ``ic``, from
+    -t*drive_rate and from the Gaussian log-mass.  Jets carry one guard
+    coefficient beyond the requested order.
     """
     if order < 1:
         raise InvalidParams(f"order must be >= 1, got {order}")
     _require_counting(params)
-    k_jet = order + 1
-    s = CountingJet.variable(k_jet)
+    s = CountingJet.variable(order + 1)
+    sf = system_frame(params, sign_branch)
     if t is None:
-        sf = system_frame(params, sign_branch)
-        alpha_ext = _alpha_extensive(params, sf.mean_field)
-        total = _rate_formula(sf.frame, params.gamma_loss, alpha_ext, s)
-        macro = params.gamma_loss * alpha_ext * (s.exp() - 1.0)
+        macro, fluct = _rate_parts(params, sf, s)
     else:
-        total = cgf_finite_time(params, s, t, ic=ic,
-                                full_gaussian=full_gaussian,
-                                sign_branch=sign_branch)
-        sf = system_frame(params, sign_branch)
-        alpha_ext = _alpha_extensive(params, sf.mean_field)
-        macro = params.gamma_loss * alpha_ext * t * (s.exp() - 1.0)
+        _, macro, fluct = next(_finite_time_parts(params, sf, ic, [t],
+                                                  s.order, full_gaussian))
     orders = tuple(range(1, order + 1))
-    macro_c = {k: macro.derivative(k).real for k in orders}
-    fluct_jet = total - macro
-    fluct_c = {k: fluct_jet.derivative(k).real for k in orders}
-    return CumulantSet(macroscopic=macro_c, fluctuation=fluct_c,
-                       orders=orders, time=t)
+    return CumulantSet(
+        macroscopic={k: macro.derivative(k).real for k in orders},
+        fluctuation={k: fluct.derivative(k).real for k in orders},
+        orders=orders, time=t)
 
 
 def fano_factors(cumulant_set: CumulantSet) -> dict:
@@ -318,22 +312,17 @@ def occupations(params: ModelParams, t: float | None = None,
     """
     _require_counting(params)
     sf = system_frame(params, sign_branch)
-    photon_macro = _alpha_extensive(params, sf.mean_field)
-    atom_macro = sf.mean_field.beta_intensive * 2.0 * params.j_atoms
-    if t is None:
-        if sf.phase is Phase.NORMAL:
-            nf1, nf2 = _normal_occupations(params)
-        else:
-            nf1, nf2 = _superradiant_occupations(sf.quadratic, sf.frame)
-        return Occupations(photon_fluct=nf1, atom_fluct=nf2,
-                           photon_macro=photon_macro, atom_macro=atom_macro)
-    if ic is None:
-        ic = GaussianIC(epsilon_width=1.0)
-    coeffs = ode_coefficients(sf.frame, params.gamma_loss, order=0)
-    state = evolve(ic, coeffs, t, sf.frame, t_eval=[t])[-1]
-    nf1, nf2 = occupations_from_state(sf.frame, state)
-    return Occupations(photon_fluct=nf1, atom_fluct=nf2,
-                       photon_macro=photon_macro, atom_macro=atom_macro)
+    if t is not None:
+        state = next(_finite_time_parts(params, sf, ic, [t], 0))[0]
+        nf1, nf2 = occupations_from_state(sf.frame, state)
+    elif sf.phase is Phase.NORMAL:
+        nf1, nf2 = _normal_occupations(params)
+    else:
+        nf1, nf2 = _superradiant_occupations(sf.quadratic, sf.frame)
+    return Occupations(
+        photon_fluct=nf1, atom_fluct=nf2,
+        photon_macro=_alpha_extensive(params, sf.mean_field),
+        atom_macro=sf.mean_field.beta_intensive * 2.0 * params.j_atoms)
 
 
 def _normal_occupations(p: ModelParams) -> tuple:

@@ -93,10 +93,29 @@ def test_tilted_eigenvalue_matches_mode_rate(desk_frame):
             assert abs(eig - want) < 1e-10
 
 
+def test_tilted_generator_matches_fresh_build(desk_frame):
+    pairs = [(build_rwa_liouvillian(desk_frame, mode, 1.0, 0.3, cutoff=12),
+              lambda c, mode=mode: build_rwa_liouvillian(desk_frame, mode,
+                                                         1.0, c, cutoff=12))
+             for mode in (1, 2)]
+    pairs.append((build_dicke_liouvillian(DESK, photon_cutoff=6, chi=0.3),
+                   lambda c: build_dicke_liouvillian(DESK, 6, c)))
+    for lv, build in pairs:
+        assert abs(lv.matrix - build(0.3).matrix).max() == 0.0
+        for chi in (0.0, -0.7, 1.9):
+            assert abs(lv.at(chi) - build(chi).matrix).max() < 1e-14
+
+
 def test_fd_cumulants_match_jet_derivatives(desk_frame):
     fr = desk_frame
-    build = lambda c: build_rwa_liouvillian(fr, 2, 1.0, c, cutoff=16)
+    angles = []
+
+    def build(c):
+        angles.append(c)
+        return build_rwa_liouvillian(fr, 2, 1.0, c, cutoff=16)
+
     rates = cumulant_rates_fd(build, orders=(1, 2, 3))
+    assert angles == [0.0]                 # one generator serves all points
     jet = mode_cgf_rate(fr, 1.0, 2, CountingJet.variable(4))
     for k in (1, 2, 3):
         assert rates[k] == pytest.approx(jet.derivative(k).real, rel=1e-5)

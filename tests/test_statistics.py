@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dicke_fcs import cli
 from dicke_fcs.errors import (DegenerateDenominator, GapRegion, InvalidParams)
 from dicke_fcs.jets import CountingJet
 from dicke_fcs.model import ModelParams, critical_couplings
@@ -86,7 +87,54 @@ def test_macroscopic_channel_is_poissonian():
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-12)
     # fluctuation part stays intensive
-    assert cs.fluctuation[1] == pytest.approx(0.11349858264153542, rel=1e-8)
+    assert cs.fluctuation[1] == pytest.approx(0.11349858264153542, rel=1e-12)
+
+
+def _within_ulps(got: float, want: float, n: int) -> bool:
+    return abs(got - want) <= n * math.ulp(abs(want))
+
+
+def _scan_cells(tmp_path, lam_range: str, quantity: str, j: str) -> list:
+    out = tmp_path / f"{quantity}-{j}.csv"
+    assert cli.main(["scan", "--quantity", quantity, "--lambda-range",
+                     lam_range, "--j", j, "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines()
+             if not ln.startswith("#")]
+    header = lines[0].split(",")
+    keep = [i for i, name in enumerate(header)
+            if name.startswith(("fluct_", "fano_"))]
+    return [[row.split(",")[i] for i in keep] for row in lines[1:]]
+
+
+def test_fluctuation_parts_independent_of_atom_number(tmp_path):
+    # the macroscopic part grows with j; the fluctuation part must not
+    # pick up its rounding error
+    lam3 = critical_couplings(SR).lambda3
+    ic = GaussianIC(epsilon_width=0.4, gamma1_0=0.6 - 0.3j,
+                    gamma2_0=-0.2 + 0.5j)
+    for factor in (1.3, 3.0):
+        ref = SR.with_lam(factor * lam3)
+        for t in (None, 50.0):
+            want = cumulants(ref, t=t, ic=ic)
+            want_fano = fano_factors(want)
+            for j in (1e3, 1e6, 1e9):
+                big = dataclasses.replace(ref, j_atoms=j)
+                got = cumulants(big, t=t, ic=ic)
+                assert got.macroscopic[1] > 1e-3 * j
+                got_fano = fano_factors(got)
+                for k in got.orders:
+                    assert _within_ulps(got.fluctuation[k],
+                                        want.fluctuation[k], 4)
+                    assert _within_ulps(got_fano[k], want_fano[k], 4)
+                if t is None:
+                    assert got.fluctuation[1] == pytest.approx(
+                        big.gamma_loss * occupations(big).photon_fluct,
+                        rel=1e-13)
+    # SR uses the CLI's default omega0, omega and gamma
+    lam_range = f"{1.3 * lam3!r}:{3.0 * lam3!r}:5"
+    for quantity in ("cumulants", "fano"):
+        assert (_scan_cells(tmp_path, lam_range, quantity, "0.5")
+                == _scan_cells(tmp_path, lam_range, quantity, "1e9"))
 
 
 def test_occupations_dual_route():
