@@ -11,7 +11,8 @@ calculations.
 from .errors import (BranchAmbiguity, CriticalSingularity, CutoffTooSmall,
                      DegenerateDenominator, DickeFcsError,
                      EigenvalueCrossing, GapRegion, InconsistentMeanField,
-                     InvalidParams, NonConvergence, UnstableRegion)
+                     InvalidParams, NonConvergence, NumericalRange,
+                     UnstableRegion)
 from .jets import CountingJet
 from .model import (CriticalCouplings, EffectiveQuadratic, MeanField,
                     ModelParams, Phase, classify_phase, critical_couplings,
@@ -20,8 +21,8 @@ from .bogoliubov import (BogoliubovFrame, eigenenergies, frame_coefficients,
                          mixing_angle, numeric_diagonalize, stiffness_matrix)
 from .prep_dynamics import (GaussianIC, OdeCoefficients, PState, evolve,
                             initial_state, log_gaussian_mass,
-                            ode_coefficients, ode_rhs, steady_a_rate,
-                            steady_state)
+                            ode_coefficients, ode_rhs, propagate,
+                            steady_a_rate, steady_state)
 from .statistics import (CumulantSet, Occupations, RelaxationTimes,
                          SystemFrame, cgf_finite_time, cgf_rate, cumulants,
                          fano_factors, mode_cgf_rate, occupations,
@@ -43,7 +44,7 @@ __all__ = [
     "frame_coefficients", "numeric_diagonalize",
     "CountingJet", "GaussianIC", "PState", "OdeCoefficients",
     "ode_coefficients", "initial_state", "ode_rhs", "steady_state",
-    "steady_a_rate", "evolve", "log_gaussian_mass",
+    "steady_a_rate", "evolve", "propagate", "log_gaussian_mass",
     "SystemFrame", "CumulantSet", "Occupations", "RelaxationTimes",
     "system_frame", "cgf_rate", "mode_cgf_rate", "cgf_finite_time",
     "cumulants", "fano_factors", "occupations", "occupations_from_state",
@@ -53,7 +54,8 @@ __all__ = [
     "finite_difference_weights", "cumulant_rates_fd", "trace_vector",
     "DickeFcsError", "InvalidParams", "InconsistentMeanField",
     "UnstableRegion", "GapRegion", "CriticalSingularity", "BranchAmbiguity",
-    "NonConvergence", "DegenerateDenominator", "CutoffTooSmall",
+    "NonConvergence", "NumericalRange", "DegenerateDenominator",
+    "CutoffTooSmall",
     "EigenvalueCrossing",
     "__version__",
 ]

@@ -28,8 +28,9 @@ from .jets import CountingJet
 from .model import ModelParams, Phase, classify_phase, critical_couplings
 from .oracle import (build_dicke_liouvillian, build_rwa_liouvillian,
                      dominant_eigenvalue, steady_state_vector)
-from .prep_dynamics import (GaussianIC, evolve, log_gaussian_mass,
-                            ode_coefficients, steady_a_rate, steady_state)
+from .prep_dynamics import (GaussianIC, PState, evolve, log_gaussian_mass,
+                            ode_coefficients, propagate, steady_a_rate,
+                            steady_state)
 
 __all__ = ["RunConfig", "main", "cmd_criticals", "cmd_scan", "cmd_evolve",
            "cmd_verify"]
@@ -370,6 +371,19 @@ def _transient_horizon(ic: GaussianIC, target, rates, floor: float) -> float:
     return t_req
 
 
+def _closed_vs_ode_gap(closed: PState, ode: PState) -> float:
+    """Largest gap between a closed-form and an ODE state, relative to
+    max(1, |ODE value|): the log-mass jet to every order and each of the
+    seven coefficients at s = 0."""
+    pairs = [(log_gaussian_mass(closed).coefficients,
+              log_gaussian_mass(ode).coefficients)]
+    pairs += [(getattr(closed, f).coefficients[:1],
+               getattr(ode, f).coefficients[:1])
+              for f in ("a", "b1", "b2", "c1", "c2", "d1", "d2")]
+    return max(float(np.max(np.abs(c - o) / np.maximum(1.0, np.abs(o))))
+               for c, o in pairs)
+
+
 def _suite_prep_steady(cfg: RunConfig) -> list:
     params = _base_params(cfg, _pick_normal_lambda(cfg))
     sf = stats.system_frame(params, cfg.sign_branch)
@@ -379,6 +393,7 @@ def _suite_prep_steady(cfg: RunConfig) -> list:
     rates = (cfg.gamma * math.cos(sf.frame.gamma_angle) ** 2,
              cfg.gamma * math.sin(sf.frame.gamma_angle) ** 2)
     checks = []
+    gap = 0.0
     ics = (GaussianIC(epsilon_width=1.0),
            GaussianIC(epsilon_width=0.25, gamma1_0=1.0 + 0.5j,
                       gamma2_0=-0.3 + 0.2j))
@@ -386,7 +401,8 @@ def _suite_prep_steady(cfg: RunConfig) -> list:
         t_end = max(20.0 * max(times.tau1, times.tau2),
                     _transient_horizon(ic, target, rates, 1e-10))
         grid = np.linspace(0.0, t_end, 21)
-        trajectory = evolve(ic, coeffs, t_end, sf.frame, t_eval=grid)
+        trajectory = evolve(ic, coeffs, t_end, sf.frame, t_eval=grid,
+                            rtol=1e-12, atol=1e-15)
         final = trajectory[-1]
         resid = max(
             abs(final.d1.coefficients[0] - target.d1.coefficients[0]),
@@ -401,6 +417,11 @@ def _suite_prep_steady(cfg: RunConfig) -> list:
         checks.append(_check(
             f"prep-steady/ic{idx}-trace", drift < 1e-8,
             f"max_drift={drift:.3e} tol=1e-8"))
+        for closed, ode in zip(propagate(ic, coeffs, grid), trajectory):
+            gap = max(gap, _closed_vs_ode_gap(closed, ode))
+    checks.append(_check(
+        "prep-steady/closed-vs-ode", gap < 1e-10,
+        f"max_gap={gap:.3e} tol=1e-10 ics={len(ics)}"))
     rate = steady_a_rate(coeffs)
     closed = stats.mode_cgf_rate(sf.frame, cfg.gamma, 1,
                                  CountingJet.variable(cfg.jet_order)) \

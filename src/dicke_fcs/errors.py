@@ -37,6 +37,10 @@ class NonConvergence(DickeFcsError):
     """An iterative solver (ODE step control, eigensolver) failed to converge."""
 
 
+class NumericalRange(DickeFcsError):
+    """A result exists but lies outside the floating-point range."""
+
+
 class DegenerateDenominator(DickeFcsError):
     """A ratio is undefined because its denominator vanishes (e.g. Fano at lambda=0)."""
 

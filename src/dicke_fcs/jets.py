@@ -9,6 +9,9 @@ Coefficients are stored densely as a complex array c[0..K]; the represented
 quantity is sum_n c[n] s^n + O(s^(K+1)).  Each recurrence below computes
 coefficient n from input coefficients 0..n only, so truncating at a higher
 order never changes lower-order results.
+
+The ``seq_*`` primitives act on the last axis; any leading axes are a batch
+(for example one row per sample time) and broadcast.
 """
 
 from __future__ import annotations
@@ -27,52 +30,86 @@ __all__ = [
 ]
 
 
-def seq_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cauchy product of two coefficient arrays, truncated to len(a)."""
-    return np.convolve(a, b)[: len(a)]
+def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("i...,i...->...", a, b)
 
+
+def _dot_for(c: np.ndarray):
+    """Sum of a*b over the first (jet) axis, without conjugation, for
+    arrays shaped like c."""
+    return np.dot if c.ndim == 1 else _batch_dot
+
+
+def _require_constant(c: np.ndarray, what: str):
+    """Raise unless every jet's constant term c[0] is nonzero."""
+    zero = c[0] == 0
+    if zero.any() if c.ndim > 1 else zero:
+        raise ZeroDivisionError(f"jet {what} requires a nonzero constant term")
+
+
+def _orders(c: np.ndarray) -> np.ndarray:
+    """0, 1, 2, ... along the first (jet) axis of c."""
+    return np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+
+
+def seq_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two coefficient arrays, truncated to the length of
+    a's last axis; leading axes broadcast."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.convolve(a, b)[: len(a)]
+    n = a.shape[-1]
+    lag = np.arange(n) - np.arange(n)[:, None]
+    cauchy = np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+    return (a[..., None, :] @ cauchy)[..., 0, :]
+
+
+# The recurrences below work on c.T, whose first axis is the jet axis, so
+# c[n] is coefficient n of every jet in a batch (of the one jet if 1-d).
 
 def seq_reciprocal(c: np.ndarray) -> np.ndarray:
-    if c[0] == 0:
-        raise ZeroDivisionError("jet reciprocal requires a nonzero constant term")
+    c, dot = c.T, _dot_for(c)
+    _require_constant(c, "reciprocal")
     r = np.zeros_like(c)
     r[0] = 1.0 / c[0]
     for n in range(1, len(c)):
-        r[n] = -np.dot(c[1 : n + 1], r[n - 1 :: -1]) / c[0]
-    return r
+        r[n] = -dot(c[1 : n + 1], r[n - 1 :: -1]) / c[0]
+    return r.T
 
 
 def seq_exp(c: np.ndarray) -> np.ndarray:
+    c, dot = c.T, _dot_for(c)
+    kc = _orders(c) * c
     e = np.zeros_like(c)
     e[0] = np.exp(c[0])
     for n in range(1, len(c)):
         # e' = c' e  =>  n e_n = sum_{k=1..n} k c_k e_{n-k}
-        e[n] = np.dot(np.arange(1, n + 1) * c[1 : n + 1], e[n - 1 :: -1]) / n
-    return e
+        e[n] = dot(kc[1 : n + 1], e[n - 1 :: -1]) / n
+    return e.T
 
 
 def seq_log(c: np.ndarray) -> np.ndarray:
-    if c[0] == 0:
-        raise ZeroDivisionError("jet log requires a nonzero constant term")
+    c, dot = c.T, _dot_for(c)
+    _require_constant(c, "log")
+    k = _orders(c)
     g = np.zeros_like(c)
     g[0] = np.log(c[0])
     for n in range(1, len(c)):
         # c' = g' c  =>  n c_n = sum_{k=1..n} k g_k c_{n-k}
-        conv = np.dot(np.arange(1, n) * g[1:n], c[n - 1 : 0 : -1]) if n > 1 else 0.0
+        conv = dot(k[1:n] * g[1:n], c[n - 1 : 0 : -1]) if n > 1 else 0.0
         g[n] = (c[n] - conv / n) / c[0]
-    return g
+    return g.T
 
 
 def seq_sqrt(c: np.ndarray) -> np.ndarray:
     """Principal-branch square root anchored at the constant term."""
+    c, dot = c.T, _dot_for(c)
+    _require_constant(c, "sqrt")
     s = np.zeros_like(c)
     s[0] = np.sqrt(c[0])
-    if s[0] == 0:
-        raise ZeroDivisionError("jet sqrt requires a nonzero constant term")
     for n in range(1, len(c)):
-        inner = np.dot(s[1:n], s[n - 1 : 0 : -1]) if n > 1 else 0.0
+        inner = dot(s[1:n], s[n - 1 : 0 : -1]) if n > 1 else 0.0
         s[n] = (c[n] - inner) / (2.0 * s[0])
-    return s
+    return s.T
 
 
 class CountingJet:

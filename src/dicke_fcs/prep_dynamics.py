@@ -22,6 +22,23 @@ the stiff mode, G the photon loss rate.  The macroscopic emission channel
 enters only through the additive Poisson rate ``drive_rate`` = G|alpha|(1-e^s),
 which consumers add to the fluctuation part when assembling the full
 generating function; it never feeds back into the seven ODEs.
+
+Every rate is constant in time, so the ODEs have a closed form, which
+:func:`propagate` evaluates for all sample times in one vectorised pass.
+Per mode the width obeys d' = 2U d - W d^2 + S with S = counting_loss *
+src; with d = p/q the pair (p, q) evolves under exp(M t), M = [[U, S],
+[W, -U]], and by Cayley-Hamilton exp(M t) = cosh(t sqrt X) I +
+sinh(t sqrt X)/sqrt X M with X = U^2 + W S.  Then b = b0/q, c = c0/q and
+
+    a(t) = a0 + sum_i [ln q_i - U_i t - b0 c0 Phi21_i/q_i]
+           + counting_loss (B^2 + D^2) t,
+
+the last bracket term from the Wronskian identity int_0^t W/q^2 = Phi21/q.
+While |U0| t is small, cosh and sinh/sqrt are expanded as entire
+functions of X (modified spherical Bessel coefficients); later the
+eigenvalue form e^(+-t sqrt X) is used, whose growing part is damped by
+e^(-2 t sqrt X).  :func:`evolve` integrates the same ODEs with DOP853 and
+is kept as the independent reference.
 """
 
 from __future__ import annotations
@@ -33,8 +50,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .bogoliubov import BogoliubovFrame
-from .errors import BranchAmbiguity, InvalidParams, NonConvergence
-from .jets import CountingJet, seq_mul, seq_reciprocal, seq_sqrt
+from .errors import (BranchAmbiguity, InvalidParams, NonConvergence,
+                     NumericalRange)
+from .jets import (CountingJet, seq_exp, seq_log, seq_mul, seq_reciprocal,
+                   seq_sqrt)
 
 __all__ = [
     "CountingJet",
@@ -47,6 +66,7 @@ __all__ = [
     "steady_state",
     "steady_a_rate",
     "evolve",
+    "propagate",
     "log_gaussian_mass",
 ]
 
@@ -257,20 +277,229 @@ def steady_a_rate(coeffs: OdeCoefficients) -> CountingJet:
     return CountingJet(rate)
 
 
-def log_gaussian_mass(state: PState) -> CountingJet:
+def log_gaussian_mass(state):
     """ln of the total P-mass: -a + sum_i [ln(pi/d_i) + b_i c_i / d_i].
 
     At s = 0 and with a normalized initial state this is the conserved
-    log-trace (identically zero along exact trajectories).
+    log-trace (identically zero along exact trajectories).  Given a sequence
+    of states it returns the list of their log-masses, formed in one batched
+    pass.
     """
-    total = -state.a.coefficients.copy()
-    for b, c, d in ((state.b1, state.c1, state.d1),
-                    (state.b2, state.c2, state.d2)):
-        dc = d.coefficients
-        rec = seq_reciprocal(dc)
-        total += CountingJet(math.pi * rec).log().coefficients
-        total += seq_mul(seq_mul(b.coefficients, c.coefficients), rec)
-    return CountingJet(total)
+    if isinstance(state, PState):
+        return CountingJet(_log_mass_rows(_state_rows(state)))
+    if not state:
+        return []
+    rows = np.array([_state_rows(st) for st in state])
+    return [CountingJet(row) for row in _log_mass_rows(rows)]
+
+
+def _log_mass_rows(z: np.ndarray) -> np.ndarray:
+    total = -z[..., 0, :]
+    for b, c, d in ((1, 3, 5), (2, 4, 6)):
+        rec = seq_reciprocal(z[..., d, :])
+        total = total + seq_log(math.pi * rec) \
+            + seq_mul(seq_mul(z[..., b, :], z[..., c, :]), rec)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# closed-form propagator
+# ---------------------------------------------------------------------------
+
+#: a mode with |U0| t above this takes the eigenvalue form of its flow
+_Z_SWITCH = 4.0
+#: 1/q and e^(-2 Delta t) below e^-_LN_FLUSH (about 1e-304) are set to 0
+_LN_FLUSH = 700.0
+
+
+def _check_times(times, name: str = "t") -> np.ndarray:
+    """Sample times as a float array: finite, nonnegative, nondecreasing."""
+    arr = np.atleast_1d(np.asarray(times, dtype=float))
+    if arr.ndim != 1 or not np.isfinite(arr).all() or (arr < 0).any():
+        raise InvalidParams(
+            f"{name} must be finite and nonnegative, got {times!r}")
+    if (np.diff(arr) < 0).any():
+        raise InvalidParams(f"{name} must be nondecreasing, got {times!r}")
+    return arr
+
+
+def _bessel_j(z: np.ndarray, order: int) -> np.ndarray:
+    """e^-z i_m(z)/z^m for m = -1..order, one row per z.
+
+    i_m is the modified spherical Bessel function of the first kind, with
+    i_-1(z)/z^-1 = cosh z.  The top two come from their positive-term series
+    sum_k z^2k / (2^k k! (2m+2k+1)!!); the rest from the downward recurrence
+    j_(m-1) = (2m+1) j_m + z^2 j_(m+1), whose terms are positive as well.
+    """
+    top = np.array([order - 1, order])
+    n_terms = int(2.0 * z.max(initial=0.0)) + 25
+    k = np.arange(1, n_terms)[:, None, None]
+    ratio = (z * z)[None, :, None] / (2.0 * k * (2 * top + 2 * k + 1))
+    first = [1.0 / math.prod(range(2 * m + 1, 0, -2)) for m in top]
+    series = first * (1.0 + np.cumprod(ratio, axis=0).sum(axis=0))
+    j = np.empty((z.size, order + 2))
+    j[:, order:] = series
+    for m in range(order - 1, -1, -1):
+        j[:, m] = (2 * m + 1) * j[:, m + 1] + z * z * j[:, m + 2]
+    return j * np.exp(-z)[:, None]
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """Rows x^0 .. x^(count-1) of a jet."""
+    rows = np.zeros((count, len(x)), dtype=complex)
+    rows[0, 0] = 1.0
+    for m in range(1, count):
+        rows[m] = seq_mul(rows[m - 1], x)
+    return rows
+
+
+def _exp_rows(x: np.ndarray) -> np.ndarray:
+    """exp of jet rows, with rows whose e^(x0) is below e^-_LN_FLUSH set
+    to zero."""
+    out = np.zeros_like(x)
+    live = x[:, 0].real > -_LN_FLUSH
+    out[live] = seq_exp(x[live])
+    return out
+
+
+def _unit(n: int) -> np.ndarray:
+    one = np.zeros(n, dtype=complex)
+    one[0] = 1.0
+    return one
+
+
+def _scaled_log(den: np.ndarray, shift: np.ndarray, t: np.ndarray):
+    """ln q = ln den + shift and 1/den for q = e^shift den.
+
+    den stays of order one except for a mode without heating (W = 0),
+    whose width grows as e^(2 U t); NumericalRange is raised once den falls
+    below sqrt(tiny), where that width and its square would overflow.
+    """
+    if not (den[:, 0].real > np.finfo(float).tiny ** 0.5).all():
+        raise NumericalRange(
+            "the width of a mode without heating (W = 0) grows beyond the "
+            f"floating-point range by t = {t.max():g}")
+    return seq_log(den) + shift, seq_reciprocal(den)
+
+
+def _flow_entire(U, W, S, X, d0: float, t: np.ndarray):
+    """Short-time form of one mode's flow: ln q, d = p/q and Phi21/q.
+
+    With z = |U0| t, C = cosh(t sqrt X) and Sh = sinh(t sqrt X)/sqrt X are
+    entire in X; their Taylor coefficients about X0 = U0^2 (S vanishes at
+    s = 0) are
+
+        C_m = (t^2/2)^m / m! j_(m-1)(z),   Sh_m = t (t^2/2)^m / m! j_m(z),
+
+    with j_m = i_m(z)/z^m scaled by e^-z, so every sample is one row of a
+    matrix product with the powers of X - X0.  Then q = C + (W d0 - U) Sh
+    and p = C d0 + (U d0 + S) Sh.  For a weakly heated mode (W -> 0) q
+    cancels down to e^-Ut, which costs at most a factor e^2z <= e^8 in
+    relative accuracy for z <= _Z_SWITCH.
+    """
+    n = len(U)
+    xi = X.copy()
+    xi[0] = 0.0
+    xi_pow = _powers(xi, n)
+    z = abs(U[0].real) * t
+    fac = np.cumprod(np.column_stack(
+        [np.ones_like(t)] + [t * t / (2.0 * m) for m in range(1, n)]), axis=1)
+    j = _bessel_j(z, n - 1)
+    C = (fac * j[:, :-1]) @ xi_pow
+    Sh = (t[:, None] * fac * j[:, 1:]) @ xi_pow
+    q = C + seq_mul(Sh, d0 * W - U)
+    p = d0 * C + seq_mul(Sh, d0 * U + S)
+    log_q, inv_q = _scaled_log(q, np.outer(z, _unit(n)), t)
+    return log_q, seq_mul(p, inv_q), seq_mul(seq_mul(Sh, W), inv_q)
+
+
+def _flow_eigen(U, W, S, X, d0: float, t: np.ndarray):
+    """Long-time form of one mode's flow: ln q, d = p/q and Phi21/q.
+
+    M has eigenvalues +-Delta, Delta = sqrt X.  With E = e^(-2 Delta t),
+    g = d0 + S/(Delta+U) and h = Delta + U - W d0,
+
+        q = e^(Delta t) (W g + h E) / 2Delta,
+        d = [(Delta+U) - (S h/(Delta+U)) E/g] / [W + h E/g],
+        Phi21/q = W (1 - E) / (W g + h E),
+
+    where Delta - U is formed as W S/(Delta+U).  The jets of Delta and of
+    1/g have nearby singularities, so their coefficients grow fast; once
+    |U0| t is large the factor E damps that growth, while ln q keeps its
+    exact linear part Delta t.
+    """
+    n = len(U)
+    one = _unit(n)
+    delta = seq_sqrt(X)
+    u_plus = U + delta
+    inv_u_plus = seq_reciprocal(u_plus)
+    g = d0 * one + seq_mul(S, inv_u_plus)
+    h = u_plus - d0 * W
+    E = _exp_rows(np.outer(-2.0 * t, delta))
+    inv_2delta = seq_reciprocal(2.0 * delta)
+    log_q, inv_den = _scaled_log(
+        seq_mul(seq_mul(W, g) + seq_mul(E, h), inv_2delta),
+        np.outer(t, delta), t)
+    F = seq_mul(E, seq_reciprocal(g))
+    d = seq_mul(u_plus - seq_mul(F, seq_mul(seq_mul(S, h), inv_u_plus)),
+                seq_reciprocal(W + seq_mul(F, h)))
+    phi = seq_mul(seq_mul(one - E, seq_mul(W, inv_2delta)), inv_den)
+    return log_q, d, phi
+
+
+def _mode_flow(U, W, S, d0: float, times: np.ndarray):
+    """ln q, d = p/q and Phi21/q of one mode at each of ``times``.
+
+    With d = p/q the width equation d' = 2U d - W d^2 + S is linear:
+    (p, q) evolves under exp(M t), M = [[U, S], [W, -U]], from (d0, 1), and
+    exp(M t) = C I + Sh M.  Samples with |U0| t <= _Z_SWITCH take
+    :func:`_flow_entire`, later ones :func:`_flow_eigen`.
+    """
+    X = seq_mul(U, U) + seq_mul(W, S)
+    late = U[0].real * times > _Z_SWITCH
+    out = np.empty((3, times.size, len(U)), dtype=complex)
+    for rows, route in ((~late, _flow_entire), (late, _flow_eigen)):
+        if rows.any():
+            out[:, rows] = route(U, W, S, X, d0, times[rows])
+    return out
+
+
+def propagate(ic: GaussianIC, coeffs: OdeCoefficients, times) -> list[PState]:
+    """Exact states of the seven jet ODEs from ``ic`` at each of ``times``.
+
+    Every rate is constant in time, so with d = p/q each mode is the linear
+    flow of :func:`_mode_flow`, b = b0/q, c = c0/q, and
+
+        a(t) = a0 + sum_i [ln q_i - U_i t - b0 c0 Phi21/q_i]
+               + counting_loss (B^2 + D^2) t,
+
+    using the Wronskian identity int_0^t W/q^2 = Phi21/q.  All times are
+    evaluated in one vectorised pass; ``times`` must be finite, nonnegative
+    and nondecreasing.  Raises NumericalRange where a mode without heating
+    (W = 0, a decoupled channel) collapses beyond the floating-point range.
+    """
+    times = _check_times(times)
+    state0 = initial_state(ic, coeffs.order)
+    loss = coeffs.counting_loss.coefficients
+    z = np.empty((times.size, 7, coeffs.order + 1), dtype=complex)
+    z[:, 0] = state0.a.coefficients + np.outer(
+        times, loss * (coeffs.b_sq + coeffs.d_sq))
+    d0 = 1.0 / ic.epsilon_width
+    for i, (rate, cross, src) in enumerate(
+            ((coeffs.U_bar, coeffs.W_bar, coeffs.src1),
+             (coeffs.V_bar, coeffs.T_bar, coeffs.src2)), 1):
+        b0 = getattr(state0, f"b{i}").coefficients[0]
+        c0 = getattr(state0, f"c{i}").coefficients[0]
+        log_q, z[:, 4 + i], phi = _mode_flow(
+            rate.coefficients, cross.coefficients, loss * src, d0, times)
+        z[:, 0] += log_q - np.outer(times, rate.coefficients) - b0 * c0 * phi
+        inv_q = _exp_rows(-log_q)
+        z[:, i], z[:, 2 + i] = b0 * inv_q, c0 * inv_q
+    if not np.isfinite(z).all():
+        raise NumericalRange(
+            f"the Gaussian state leaves the floating-point range by "
+            f"t = {times[-1]:g}")
+    return [_rows_state(row, float(t)) for row, t in zip(z, times)]
 
 
 def _check_frame_consistency(coeffs: OdeCoefficients, frame: BogoliubovFrame):
@@ -293,20 +522,21 @@ def evolve(ic: GaussianIC, coeffs: OdeCoefficients, t_final: float,
     """Integrate the seven jet ODEs from a Gaussian initial condition.
 
     Returns the state at each requested time (default: 201 uniform samples
-    including the endpoints).  ``frame`` is cross-checked against ``coeffs``
-    to catch mismatched inputs early.
+    including the endpoints); ``t_eval`` must be finite, nondecreasing and
+    within [0, t_final].  ``frame`` is cross-checked against ``coeffs`` to
+    catch mismatched inputs early.  This DOP853 integration is the
+    independent reference for the closed form of :func:`propagate`.
     """
-    if t_final < 0:
-        raise InvalidParams(f"t_final must be nonnegative, got {t_final}")
+    (t_final,) = _check_times(t_final, "t_final")
     _check_frame_consistency(coeffs, frame)
     state0 = initial_state(ic, coeffs.order)
     if t_eval is None:
         t_eval = np.linspace(0.0, t_final, 201) if t_final > 0 else [0.0]
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    if t_eval.size and (t_eval[0] < 0 or t_eval[-1] > t_final):
+    t_eval = _check_times(t_eval, "t_eval")
+    if t_eval.size and t_eval[-1] > t_final:
         raise InvalidParams("t_eval must lie within [0, t_final]")
     if t_final == 0.0:
-        return [state0]
+        return [state0] * t_eval.size
 
     n = coeffs.order + 1
     shape = (7, n)
@@ -315,13 +545,17 @@ def evolve(ic: GaussianIC, coeffs: OdeCoefficients, t_final: float,
         z = np.ascontiguousarray(y).view(complex).reshape(shape)
         return _rhs_rows(z, coeffs).reshape(-1).view(float)
 
-    y0 = _state_rows(state0).reshape(-1).view(float).copy()
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853",
-                    t_eval=t_eval, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NonConvergence(f"ODE integration failed: {sol.message}")
-    states = []
-    for i, t in enumerate(sol.t):
-        z = np.ascontiguousarray(sol.y[:, i]).view(complex).reshape(shape)
+    # each sample is a step end point: DOP853's dense output between long
+    # steps near an attractor can be off by far more than rtol
+    y = _state_rows(state0).reshape(-1).view(float).copy()
+    states, t_prev = [], 0.0
+    for t in t_eval:
+        if t > t_prev:
+            sol = solve_ivp(rhs, (t_prev, t), y, method="DOP853",
+                            rtol=rtol, atol=atol)
+            if not sol.success:
+                raise NonConvergence(f"ODE integration failed: {sol.message}")
+            y, t_prev = sol.y[:, -1], t
+        z = np.ascontiguousarray(y).view(complex).reshape(shape)
         states.append(_rows_state(z.copy(), float(t)))
     return states

@@ -35,8 +35,8 @@ from .errors import DegenerateDenominator, GapRegion, InvalidParams
 from .jets import CountingJet
 from .model import (EffectiveQuadratic, MeanField, ModelParams, Phase,
                     classify_phase, effective_parameters, solve_displacements)
-from .prep_dynamics import (GaussianIC, PState, evolve, log_gaussian_mass,
-                            ode_coefficients)
+from .prep_dynamics import (GaussianIC, PState, log_gaussian_mass,
+                            ode_coefficients, propagate)
 
 __all__ = [
     "SystemFrame",
@@ -225,14 +225,17 @@ def _finite_time_parts(params: ModelParams, sf: SystemFrame,
                        ic: GaussianIC | None, times, order: int,
                        full_gaussian: bool = True):
     """Yield (state, macroscopic, fluctuation) parts of F(s, t), as jets of
-    ``order``, at each of ``times`` along one trajectory from ``ic``."""
+    ``order``, at each of ``times`` along one trajectory from ``ic``; the
+    states come from one closed-form :func:`propagate` pass."""
     if ic is None:
         ic = GaussianIC(epsilon_width=1.0)
     alpha_ext = _alpha_extensive(params, sf.mean_field)
     coeffs = ode_coefficients(sf.frame, params.gamma_loss,
                               alpha_abs=alpha_ext, order=order)
-    for state in evolve(ic, coeffs, times[-1], sf.frame, t_eval=times):
-        fluct = log_gaussian_mass(state) if full_gaussian else -state.a
+    states = propagate(ic, coeffs, times)
+    masses = log_gaussian_mass(states) if full_gaussian \
+        else [-state.a for state in states]
+    for state, fluct in zip(states, masses):
         yield (state, -state.time * coeffs.drive_rate,
                fluct - fluct.coefficients[0])
 
@@ -306,7 +309,7 @@ def occupations(params: ModelParams, t: float | None = None,
     """Photon and atom occupation numbers.
 
     Steady state (t omitted) uses the closed forms of the fluctuation
-    occupations; finite t integrates the width/displacement ODEs at s = 0
+    occupations; finite t propagates the width/displacement ODEs at s = 0
     and reconstructs the moments.  Macroscopic parts are the stationary
     order-parameter occupations |alpha| and |beta| (extensive).
     """
@@ -363,8 +366,8 @@ def occupations_from_state(frame: BogoliubovFrame,
     # per-mode first/second P-moments
     p, q = c1 / d1, b1 / d1
     r, s = c2 / d2, b2 / d2
-    s11 = (b1 * c1 + d1) / (d1 * d1)
-    s22 = (b2 * c2 + d2) / (d2 * d2)
+    s11 = (b1 * c1 / d1 + 1.0) / d1
+    s22 = (b2 * c2 / d2 + 1.0) / d2
 
     def row(Ar, Br, Gr, Dr):
         val = (Ar * Ar * s11 + Br * Br * (s11 + 1.0)

@@ -206,6 +206,7 @@ def test_verify_prep_steady_suite(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "prep-steady/rate-identity" in out
+    assert "PASS prep-steady/closed-vs-ode" in out
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

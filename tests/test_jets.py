@@ -132,3 +132,25 @@ def test_raw_sequence_helpers_consistent():
     assert np.allclose(seq_exp(seq_log(c)), c, rtol=1e-12, atol=1e-12)
     assert np.allclose(seq_mul(seq_sqrt(c), seq_sqrt(c)), c,
                        rtol=1e-12, atol=1e-12)
+
+
+def test_batched_primitives_match_rows():
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(2, 3, 7)) + 1j * rng.normal(size=(2, 3, 7))
+    c[..., 0] += 3.0
+    other = rng.normal(size=7) + 1j * rng.normal(size=7)
+    for fn in (seq_reciprocal, seq_exp, seq_log, seq_sqrt):
+        batch = fn(c)
+        for i in range(2):
+            for j in range(3):
+                assert np.allclose(batch[i, j], fn(c[i, j]),
+                                   rtol=1e-14, atol=0.0)
+    product = seq_mul(c, other)
+    for i in range(2):
+        for j in range(3):
+            assert np.allclose(product[i, j], seq_mul(c[i, j], other),
+                               rtol=1e-14, atol=1e-15)
+            assert np.allclose(seq_mul(other, c)[i, j], product[i, j],
+                               rtol=1e-14, atol=1e-15)
+    with pytest.raises(ZeroDivisionError):
+        seq_reciprocal(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from dicke_fcs.errors import BranchAmbiguity, InvalidParams
+from dicke_fcs.errors import BranchAmbiguity, InvalidParams, NumericalRange
 from dicke_fcs.jets import CountingJet
 from dicke_fcs.model import ModelParams
 from dicke_fcs.prep_dynamics import (GaussianIC, OdeCoefficients, evolve,
                                      initial_state, log_gaussian_mass,
-                                     ode_coefficients, ode_rhs, steady_a_rate,
-                                     steady_state)
+                                     ode_coefficients, ode_rhs, propagate,
+                                     steady_a_rate, steady_state)
 from dicke_fcs.statistics import relaxation_times, system_frame
 
 DESK = ModelParams(omega0=2.0, omega=1.0, lam=0.3, gamma_loss=1.0)
@@ -204,3 +204,156 @@ def test_time_grid_validation():
         evolve(GaussianIC(1.0), coeffs, 1.0, frame, t_eval=[0.0, 2.0])
     with pytest.raises(InvalidParams):
         evolve(GaussianIC(1.0), coeffs, 1.0, frame, t_eval=[-0.5, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# closed-form propagator
+# ---------------------------------------------------------------------------
+
+#: the point where a sqrt(X)-jet form of the flow loses 4e-7 at order 7
+STEEP = ModelParams(omega0=1.90985, omega=4.73535, lam=1.78686,
+                    gamma_loss=3.88389)
+
+
+def _fluct_cumulants(state, order):
+    mass = log_gaussian_mass(state)
+    return np.array([mass.derivative(k).real for k in range(1, order + 1)])
+
+
+def test_propagate_matches_tight_ode():
+    # both routes of the flow: at t = 5 the STEEP stiff mode has
+    # |U0| t = 8, its soft mode 1.7
+    cases = ((STEEP, GaussianIC(0.18982), 0.0602),
+             (STEEP, GaussianIC(0.18982, gamma1_0=0.3 + 0.2j,
+                                gamma2_0=-0.4j), 0.0602),
+             (STEEP, GaussianIC(0.5, gamma1_0=0.3 + 0.2j,
+                                gamma2_0=-0.4j), 5.0),
+             (DESK, GaussianIC(0.7, gamma1_0=0.4, gamma2_0=0.2j), 8.0))
+    order = 8
+    for params, ic, t_final in cases:
+        frame = system_frame(params).frame
+        coeffs = ode_coefficients(frame, params.gamma_loss, order=order)
+        grid = np.linspace(0.0, t_final, 4)[1:]
+        closed = propagate(ic, coeffs, grid)
+        ode = evolve(ic, coeffs, t_final, frame, t_eval=grid,
+                     rtol=1e-13, atol=1e-16)
+        for got, want in zip(closed, ode):
+            assert got.time == want.time
+            g, w = _fluct_cumulants(got, order), _fluct_cumulants(want, order)
+            assert np.all(np.abs(g - w) <= 1e-10 * np.abs(w))
+
+
+def _exact_mode_jets(mp, gamma, cool, heat, d0, t, order):
+    """1/q and d = p/q of one mode as jets, from a 60-digit evaluation of
+    exp(M t)."""
+    with mp.workdps(60):
+        G, d0, t = mp.mpf(gamma), mp.mpf(d0), mp.mpf(t)
+        cool, heat = mp.mpf(cool), mp.mpf(heat)
+
+        def flow(s):
+            es = mp.exp(s)
+            U = G / 2 * (cool + heat * (1 - 2 * es))
+            W, S = G * heat * es, G * (1 - es) * (cool + heat)
+            root = mp.sqrt(U * U + W * S)
+            ch, sh = mp.cosh(t * root), mp.sinh(t * root) / root
+            return ch * d0 + (U * d0 + S) * sh, ch + (W * d0 - U) * sh
+
+        q0 = flow(0)[1]
+        inv_q = [x / q0 for x in mp.taylor(lambda s: q0 / flow(s)[1], 0,
+                                           order)]
+        width = mp.taylor(lambda s: flow(s)[0] / flow(s)[1], 0, order)
+        return (np.array([complex(x) for x in inv_q]),
+                np.array([complex(x) for x in width]))
+
+
+def test_propagate_matches_high_precision_flow():
+    # b/b0 = 1/q and d = p/q of each mode, over both forms of the flow and
+    # far past relaxation
+    mp = pytest.importorskip("mpmath")
+    order, eps, gamma0 = 8, 0.3, 0.5
+    for params in (STEEP, DESK):
+        frame = system_frame(params).frame
+        coeffs = ode_coefficients(frame, params.gamma_loss, order=order)
+        times = [0.05, 2.0, 20.0, 1e3]
+        states = propagate(GaussianIC(eps, gamma1_0=gamma0, gamma2_0=gamma0),
+                           coeffs, times)
+        for cool, heat, b, d in ((frame.A ** 2, frame.B ** 2, "b1", "d1"),
+                                 (frame.G ** 2, frame.D ** 2, "b2", "d2")):
+            for t, st in zip(times, states):
+                inv_q, width = _exact_mode_jets(
+                    mp, params.gamma_loss, cool, heat, 1.0 / eps, t, order)
+                for got, want in (
+                        (getattr(st, b).coefficients * eps / gamma0, inv_q),
+                        (getattr(st, d).coefficients, width)):
+                    assert np.abs(got - want).max() <= \
+                        1e-12 * np.abs(want).max()
+
+
+def test_propagate_batch_matches_single_samples():
+    frame, coeffs = _desk_setup(order=5)
+    ic = GaussianIC(0.4, gamma1_0=0.2 - 0.1j, gamma2_0=0.3)
+    grid = [0.0, 0.5, 3.0, 130.0, 400.0]
+    batch = propagate(ic, coeffs, grid)
+    for t, st in zip(grid, batch):
+        (one,) = propagate(ic, coeffs, [t])
+        for field in ("a", "b1", "b2", "c1", "c2", "d1", "d2"):
+            got = getattr(st, field).coefficients
+            want = getattr(one, field).coefficients
+            assert np.abs(got - want).max() <= 1e-13 * max(
+                1.0, np.abs(want).max())
+    ref = initial_state(ic, 5)
+    for field in ("a", "b1", "b2", "c1", "c2", "d1", "d2"):
+        assert np.array_equal(getattr(batch[0], field).coefficients,
+                              getattr(ref, field).coefficients)
+
+
+def test_non_finite_and_unordered_times_rejected():
+    frame, coeffs = _desk_setup(order=2)
+    ic = GaussianIC(1.0)
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(InvalidParams):
+            propagate(ic, coeffs, [bad])
+        with pytest.raises(InvalidParams):
+            evolve(ic, coeffs, bad, frame)
+    for t_eval in ([0.0, math.nan, 3.0], [0.0, 2.0, 1.0], [0.0, 3.5]):
+        with pytest.raises(InvalidParams):
+            evolve(ic, coeffs, 3.0, frame, t_eval=t_eval)
+    with pytest.raises(InvalidParams):
+        propagate(ic, coeffs, [2.0, 1.0])
+    # one state per requested time, also at t_final = 0
+    assert len(evolve(ic, coeffs, 0.0, frame, t_eval=[0.0, 0.0])) == 2
+
+
+def test_decoupled_mode_matches_ode_then_raises_typed():
+    # at lam = 0 the photon mode has no heating (W = 0): its width grows as
+    # e^(Gamma t), which the ODE follows up to t ~ 100
+    base = DESK.with_lam(0.0)
+    frame = system_frame(base).frame
+    coeffs = ode_coefficients(frame, base.gamma_loss, order=5)
+    ic = GaussianIC(0.5, gamma1_0=0.3, gamma2_0=-0.2j)
+    grid = [10.0, 50.0, 100.0]
+    closed = propagate(ic, coeffs, grid)
+    ode = evolve(ic, coeffs, 100.0, frame, t_eval=grid)
+    for got, want in zip(closed, ode):
+        g, w = _fluct_cumulants(got, 5), _fluct_cumulants(want, 5)
+        assert np.all(np.abs(g - w) <= 1e-8 * np.abs(w))
+    for t in (1e3, 1e4, 1e6):
+        with pytest.raises(NumericalRange):
+            propagate(ic, coeffs, [t])
+
+
+def test_evolve_samples_are_step_end_points():
+    # near the attractor DOP853 takes long steps, and its dense output
+    # between them put this width off by 5e-6 relative at rtol 1e-10
+    params = ModelParams(omega0=4.059097299721356, omega=4.998143873384699,
+                         lam=4.135759077196674, gamma_loss=4.726634786783128)
+    frame = system_frame(params).frame
+    coeffs = ode_coefficients(frame, params.gamma_loss, order=3)
+    ic = GaussianIC(0.5807200677730169)
+    grid = np.linspace(0.0, 54.134113237117354, 196)
+    ode = evolve(ic, coeffs, grid[-1], frame, t_eval=grid)
+    for got, want in zip(ode, propagate(ic, coeffs, grid)):
+        for field in ("d1", "d2"):
+            g = getattr(got, field).coefficients
+            w = getattr(want, field).coefficients
+            assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max()

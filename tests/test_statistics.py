@@ -274,3 +274,39 @@ def test_sign_branch_invariance():
         assert cgf_rate(SR, 0.2, sign_branch=branch) == cgf_rate(SR, 0.2)
         o = occupations(SR, sign_branch=branch)
         assert o == occupations(SR)
+
+
+def test_non_finite_times_rejected_at_every_entry_point():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(InvalidParams):
+            cumulants(DESK, t=bad)
+        with pytest.raises(InvalidParams):
+            cgf_finite_time(DESK, 3, bad)
+        with pytest.raises(InvalidParams):
+            occupations(DESK, t=bad)
+
+
+@pytest.mark.parametrize("fraction", [1e-3, 0.3])
+def test_nearly_decoupled_long_times(fraction):
+    # the slow mode relaxes over 2e6 time units at 1e-3 lambda1 and over 28
+    # at 0.3 lambda1; both stay finite, and where t >> max tau the
+    # cumulants grow at the asymptotic rates
+    base = DESK.with_lam(0.0)
+    params = base.with_lam(fraction * critical_couplings(base).lambda1)
+    taus = relaxation_times(system_frame(params).frame, params.gamma_loss)
+    tau = max(taus.tau1, taus.tau2)
+    rates = cumulants(params, order=5)
+    ic = GaussianIC(0.5, gamma1_0=0.3, gamma2_0=-0.2j)
+    for t in (1e4, 1e6):
+        cs = cumulants(params, t=t, ic=ic, order=5)
+        assert all(math.isfinite(cs.fluctuation[k]) for k in cs.orders)
+        occ = occupations(params, t=t, ic=ic)
+        assert math.isfinite(occ.photon_fluct) and occ.photon_fluct > 0
+        if t >= 100.0 * tau:
+            later = cumulants(params, t=2.0 * t, ic=ic, order=5)
+            for k in cs.orders:
+                rate = rates.fluctuation[k]
+                assert abs(cs.fluctuation[k] / t - rate) <= \
+                    10.0 * tau / t * abs(rate)
+                slope = (later.fluctuation[k] - cs.fluctuation[k]) / t
+                assert slope == pytest.approx(rate, rel=1e-9)
